@@ -1,4 +1,4 @@
-"""Ablations over the design choices DESIGN.md calls out.
+"""Ablations over this reproduction's own parameter choices.
 
 * Feistel round count — why 16 rounds (DES parity) and not fewer/more:
   cost is linear in rounds, avalanche saturates early; 16 is comfortably

@@ -71,7 +71,6 @@ def _run_serial(n, rtt_ms, jitter_ms, seed, payload):
     if net is None:
         return None
     server = EchoServer(Nic(net), rng=RandomSource(seed=1)).start()
-    server.count_requests = False
     client = Nic(net)
     rng = RandomSource(seed=2)
     request = Message(command=USER_BASE, data=payload)
@@ -86,7 +85,6 @@ def _run_pipelined(inflight, batches, rtt_ms, jitter_ms, seed, payload):
     if net is None:
         return None
     server = EchoServer(Nic(net), rng=RandomSource(seed=1)).start()
-    server.count_requests = False
     client = Nic(net)
     rng = RandomSource(seed=2)
     requests = [Message(command=USER_BASE, data=payload)] * inflight

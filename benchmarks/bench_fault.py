@@ -75,7 +75,6 @@ def _goodput_point(n, loss, seed):
     plan = FaultPlan(seed=seed, drop=loss)
     net = SimNetwork(faults=plan)
     server = EchoServer(Nic(net), rng=RandomSource(seed=1), dedup=True).start()
-    server.count_requests = False
     client = Nic(net)
     retry = RetryPolicy(attempts=10, seed=seed)
     completed = 0
@@ -129,7 +128,6 @@ def _des_lossy_run(n, drop, duplicate, seed):
                      latency=LatencyModel(rtt_ms=PAPER_RTT_MS),
                      faults=plan)
     server = EchoServer(Nic(net), rng=RandomSource(seed=1), dedup=True).start()
-    server.count_requests = False
     client = Nic(net)
     retry = RetryPolicy(attempts=8, rto=0.01, seed=seed)
     for i in range(n):
@@ -180,7 +178,6 @@ def fault_retry_storm(clients=8, per_client=40, depth=16, seed=29):
     except TypeError:
         return None
     server = EchoServer(Nic(net), rng=RandomSource(seed=1), dedup=True).start()
-    server.count_requests = False
     stations = [Nic(net) for _ in range(clients)]
     pending = []
     for c, station in enumerate(stations):
@@ -308,7 +305,6 @@ def fault_bank_effectively_once(n=10_000, drop=0.10, duplicate=0.01, seed=37):
     plan = FaultPlan(seed=seed, drop=drop, duplicate=duplicate)
     net = SimNetwork(faults=plan)
     server = BankServer(Nic(net), rng=RandomSource(seed=1), dedup=True).start()
-    server.count_requests = False
     client = BankClient(Nic(net), server.put_port, rng=RandomSource(seed=2),
                         expect_signature=server.signature_image,
                         timeout=5.0,

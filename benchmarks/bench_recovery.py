@@ -116,7 +116,6 @@ def _echo_world(store):
     net = SimNetwork()
     server = EchoServer(Nic(net), rng=RandomSource(seed=1), dedup=True,
                         store=store).start()
-    server.count_requests = False
     client = Nic(net)
     rng = RandomSource(seed=2)
     request = Message(command=USER_BASE, data=b"payload")
@@ -167,7 +166,6 @@ def _mutate_run(n, repeats, store_factory):
     store = store_factory() if store_factory is not None else None
     server = DirectoryServer(Nic(net), rng=RandomSource(seed=1), dedup=True,
                              store=store).start()
-    server.count_requests = False
     root = server.create_root()
     client = DirectoryClient(Nic(net), server.put_port,
                              rng=RandomSource(seed=2),
@@ -267,7 +265,6 @@ def _kill_reboot_run(n_pre, n_post, seed):
         Nic(net), rng=RandomSource(seed=1), dedup=True,
         store=DurableStore(disk, codec=DirectoryCodec()),
     ).start()
-    server.count_requests = False
     root = server.create_root()
     client = DirectoryClient(
         Nic(net), server.put_port, rng=RandomSource(seed=2),
@@ -296,7 +293,6 @@ def _kill_reboot_run(n_pre, n_post, seed):
     )
     report = respawn.reboot()
     respawn.start()
-    respawn.count_requests = False
     client.expect_signature = respawn.signature_image
 
     # Old capabilities from clean stripes keep working; the retried,

@@ -323,8 +323,6 @@ def replica_sim_flood(replicas=4, max_queue_depth=256, flood=20000,
         net, replicas=replicas, rng=RandomSource(5),
         server_cls=EchoReplicaServer,
     ).start()
-    for server in pool.servers:
-        server.count_requests = False
     client = Nic(net)
     rng = RandomSource(seed=9)
     requests = [Message(command=stdops.USER_BASE, data=b"payload")] * inflight

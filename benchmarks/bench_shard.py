@@ -151,7 +151,6 @@ def _flood_arm(max_queue_depth, flood, inflight, batches, warmup):
     except TypeError:
         return None
     server = EchoServer(Nic(net), rng=RandomSource(seed=1)).start()
-    server.count_requests = False
     client = Nic(net)
     rng = RandomSource(seed=9)
     requests = [Message(command=USER_BASE, data=b"payload")] * inflight

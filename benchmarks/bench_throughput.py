@@ -56,12 +56,6 @@ class EchoServer(ObjectServer):
         return ctx.ok(data=ctx.request.data)
 
 
-def _quiet(server):
-    """Disable per-request counting where supported (no-op on old trees)."""
-    server.count_requests = False
-    return server
-
-
 def _best_of(repeats, measured):
     """Run a measured segment ``repeats`` times, return the fastest.
 
@@ -87,7 +81,7 @@ def _best_of(repeats, measured):
 def echo_round_trip(n=4000, payload=b"payload", warmup=400, repeats=5):
     """Blocking echo transactions, one client against one server."""
     net = SimNetwork()
-    server = _quiet(EchoServer(Nic(net), rng=RandomSource(seed=1)).start())
+    server = EchoServer(Nic(net), rng=RandomSource(seed=1)).start()
     client = Nic(net)
     rng = RandomSource(seed=2)
     request = Message(command=USER_BASE, data=payload)
@@ -114,16 +108,14 @@ def multi_client(n_clients=8, n_servers=4, requests=200, warmup=40):
     """N clients × M replicated servers sharing one put-port."""
     net = SimNetwork()
     shared_rng = RandomSource(seed=3)
-    first = _quiet(EchoServer(Nic(net), rng=RandomSource(seed=4)).start())
+    first = EchoServer(Nic(net), rng=RandomSource(seed=4)).start()
     for _ in range(n_servers - 1):
-        _quiet(
-            EchoServer(
-                Nic(net),
-                rng=shared_rng,
-                get_port=first.get_port,
-                signature=first.signature,
-            ).start()
-        )
+        EchoServer(
+            Nic(net),
+            rng=shared_rng,
+            get_port=first.get_port,
+            signature=first.signature,
+        ).start()
     clients = [Nic(net) for _ in range(n_clients)]
     rng = RandomSource(seed=5)
     request = Message(command=USER_BASE, data=b"x" * 64)
@@ -211,7 +203,7 @@ def pipelined_inflight(inflight=16, batches=250, payload=b"payload",
     except (ImportError, TypeError):
         return None  # pre-engine source tree (a --baseline-src subrun)
 
-    server = _quiet(EchoServer(Nic(net), rng=RandomSource(seed=1)).start())
+    server = EchoServer(Nic(net), rng=RandomSource(seed=1)).start()
     client = Nic(net)
     rng = RandomSource(seed=7)
     requests = [Message(command=USER_BASE, data=payload)] * inflight
@@ -329,7 +321,7 @@ SMOKE_OVERRIDES = {
 class TestThroughput:
     def test_echo_round_trip(self, benchmark):
         net = SimNetwork()
-        server = _quiet(EchoServer(Nic(net), rng=RandomSource(seed=1)).start())
+        server = EchoServer(Nic(net), rng=RandomSource(seed=1)).start()
         client = Nic(net)
         rng = RandomSource(seed=2)
         request = Message(command=USER_BASE, data=b"payload")

@@ -59,7 +59,6 @@ def _echo_server_proc(conn):
     """
     node = SocketNode(buffer_egress=True)
     server = EchoServer(node, rng=RandomSource(seed=1))
-    server.count_requests = False
     server.start()
     conn.send((node.address, server.put_port.value))
     try:

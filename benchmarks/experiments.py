@@ -1,8 +1,8 @@
 """The experiment harness: regenerates every figure/claim of the paper.
 
 The paper (a design paper) has two figures and a set of comparative
-claims rather than numeric tables; this harness runs each experiment from
-DESIGN.md §3 and prints the rows recorded in EXPERIMENTS.md.
+claims rather than numeric tables (see PAPER.md); this harness runs one
+experiment per figure or claim and prints its rows.
 
 Usage:
     python benchmarks/experiments.py            # run everything

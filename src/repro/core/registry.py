@@ -42,7 +42,7 @@ from repro.core.rights import ALL_RIGHTS, NO_RIGHTS, Rights
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import NoSuchObject, PermissionDenied
 
-#: Default stripe count: enough that 8–16 worker threads rarely collide
+#: Default stripe count: enough that 8–16 concurrent threads rarely collide
 #: on a stripe, small enough that a full sweep is still cheap.
 DEFAULT_SHARDS = 16
 

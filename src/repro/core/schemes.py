@@ -219,7 +219,7 @@ class CommutativeScheme(ProtectionScheme):
     and comparing.
 
     Check fields are group elements (~64 bytes), so these capabilities
-    use the extended encoding; see DESIGN.md.
+    use the extended encoding of :mod:`repro.core.capability`.
     """
 
     name = "commutative"

@@ -17,8 +17,8 @@ RSA.  The default modulus below was generated once with both ``p - 1`` and
 ``q - 1`` coprime to every exponent (so each ``F_k`` is a *permutation* of
 the group) and the factors were discarded.
 
-Deviation from Fig. 2 (recorded in DESIGN.md): sound group elements need
-~512 bits, not 48, so scheme-3 capabilities carry an extended check field.
+Deviation from Fig. 2: sound group elements need ~512 bits, not 48, so
+scheme-3 capabilities carry an extended check field.
 """
 
 from repro.util.bits import mask

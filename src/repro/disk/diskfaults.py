@@ -44,9 +44,10 @@ class DiskFaultPlan:
     """One seeded fault schedule shared by a disk's writes.
 
     Thread-safe: decisions are serialized under a lock (WAL appends
-    arrive from worker-pool threads).  Determinism holds whenever the
-    *write order* is deterministic — true under the single-threaded
-    simulators and asserted by the recovery benchmark's double run.
+    from different object-table stripes may arrive concurrently).
+    Determinism holds whenever the *write order* is deterministic — true
+    under the single-threaded simulators and asserted by the recovery
+    benchmark's double run.
     """
 
     def __init__(self, seed=0, torn=0.0, lost=0.0, power_fail_after=None,

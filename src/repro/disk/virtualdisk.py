@@ -9,10 +9,11 @@ rewritten (and never freed), matching §3.5's constraint that committed
 pages are immutable.
 
 Thread safety: every public operation takes one internal lock, because
-the write-ahead log (:mod:`repro.disk.wal`) appends from an
-``ObjectServer(workers=N)`` pool — allocation, the I/O counters, and the
-block map must not race.  The lock is never held across anything but
-dict/list work, so it costs one uncontended acquisition per call.
+the write-ahead log (:mod:`repro.disk.wal`) appends under per-stripe
+object-table locks, so two threads mutating different stripes append
+concurrently — allocation, the I/O counters, and the block map must not
+race.  The lock is never held across anything but dict/list work, so it
+costs one uncontended acquisition per call.
 
 Fault injection: a :class:`~repro.disk.diskfaults.DiskFaultPlan` passed
 as ``faults`` intercepts every write — it can tear it (a prefix lands,

@@ -14,7 +14,6 @@ machines (the network round-robins among listeners on a shared port).
 
 import threading
 from collections import Counter, OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.ports import PrivatePort, as_port
 from repro.core.registry import ObjectTable
@@ -79,7 +78,9 @@ class DeferredReply:
         ctx = self.ctx
         if reply is None:
             reply = ctx.ok()
-        ctx.server._send_reply(ctx.frame, reply)
+        server = ctx.server
+        reply = server._finish_reply(ctx.frame, reply)
+        server._egress([(reply, ctx.frame.src)])
 
     def error(self, exc):
         """Send an error reply carrying the exception's wire code."""
@@ -266,7 +267,7 @@ class RequestContext:
 
         Uses the trusted ``reply_to`` path (which range-guards the
         handler-supplied numeric fields), with the server's signature
-        secret already stamped — ``_handle_frame`` then skips its own
+        secret already stamped — ``_finish_reply`` then skips its own
         stamping copy.
 
         The returned reply belongs to the dispatch loop, which transforms
@@ -335,7 +336,6 @@ class ObjectServer:
         sealer=None,
         require_sealed=False,
         authorized_signatures=None,
-        workers=0,
         dedup=None,
         store=None,
     ):
@@ -397,30 +397,12 @@ class ObjectServer:
                     sealer.invalidate_object(port, number)
                 )
             )
-        #: Opt-in parallel dispatch: with ``workers >= 2`` the batch
-        #: handler partitions each delivered run by object number and
-        #: hands the partitions to a thread pool.  Frames naming the
-        #: same object always land in the same partition — handlers
-        #: stay single-threaded per object — while distinct objects
-        #: proceed in parallel; replies still leave through the batched
-        #: egress lane on the dispatching thread, so no station is ever
-        #: driven from two threads.
-        self.workers = int(workers)
-        self._pool = None
-        # Serializes node egress when the pool exists: the dispatching
-        # thread's bulk reply lane and a DeferredReply.send() fired from
-        # whichever pool thread ran the triggering handler must not
-        # drive the station at the same time.
-        self._egress_lock = threading.Lock()
         self._commands = {}
         self._collect_commands()
         self._running = False
         #: Count of requests handled, by opcode (experiment bookkeeping).
         #: A Counter, so reading a never-seen opcode yields 0.
         self.request_counts = Counter()
-        #: Set False to skip the per-request count — throughput harnesses
-        #: that never read the counts keep it off the hot path.
-        self.count_requests = True
         # The signature secret as a Port, stamped into every reply; built
         # once here instead of once per frame.
         self._signature_port = as_port(self.signature)
@@ -450,14 +432,9 @@ class ObjectServer:
     def start(self):
         """Enter the GET loop (register the request handler).
 
-        On a deferred-delivery network the server registers a *batch*
-        handler: the event loop then delivers whole ingress-queue runs,
-        and :meth:`_handle_frames` hoists the per-request mode checks out
-        of the loop.  Socket nodes advertise ``supports_batch_serve``
-        (their pump coalesces each recv burst into one delivery) and get
-        the same batch handler.  Synchronous simulated networks keep the
-        per-frame handler; the dispatch semantics are identical either
-        way.
+        Every delivery discipline gets the same batch handler: the event
+        loop and a socket station's pump hand over whole ingress runs,
+        and the synchronous network delivers each frame as a run of one.
         """
         if self.store is not None and getattr(
             self.store, "needs_recovery", False
@@ -466,29 +443,13 @@ class ObjectServer:
                 "the durable store holds un-recovered state; "
                 "call reboot() before start()"
             )
-        if self.workers >= 2 and self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="%s-worker" % type(self).__name__,
-            )
-        network = getattr(self.node, "network", None)
-        if (
-            (network is not None and getattr(network, "loop", None) is not None)
-            or getattr(self.node, "supports_batch_serve", False)
-            or self._pool is not None
-        ):
-            self.node.serve_batch(self.get_port, self._handle_frames)
-        else:
-            self.node.serve(self.get_port, self._handle_frame)
+        self.node.serve_batch(self.get_port, self._handle_frames)
         self._running = True
         return self
 
     def stop(self):
         self.node.unlisten(self.get_port)
         self._running = False
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     @property
     def running(self):
@@ -573,8 +534,7 @@ class ObjectServer:
     # ------------------------------------------------------------------
 
     def _dispatch_request(self, frame, request):
-        """The dispatch core shared by per-frame and batch delivery:
-        sender auth, unsealing, handler lookup and invocation, and both
+        """Sender auth, unsealing, handler lookup and invocation, and both
         error arms.  Returns the reply to send, or None when the handler
         deferred it.
 
@@ -613,255 +573,57 @@ class ObjectServer:
             )
         return reply
 
-    def _dedup_admit(self, frame, request):
-        """Consult the reply cache for one request copy.
-
-        Returns True when the caller should execute the request: a cache
-        miss (now marked in-progress), or a request with no reply port —
-        a one-way send is not a transaction and is never deduplicated.
-        A hit replays the cached reply; a busy duplicate is dropped.
-        """
-        reply_value = request.reply.value
-        if not reply_value:
-            return True
-        verdict, cached = self.reply_cache.begin(frame.src, reply_value)
-        if verdict == "miss":
-            return True
-        if verdict == "hit":
-            self._replay_reply(frame.src, cached)
-        return False
-
-    def _replay_reply(self, src, cached):
-        """Answer a retried transaction from the cache — the handler does
-        not run again.  ``put`` (the *copying* egress transform) leaves
-        the cached reply pristine for further retries."""
-        if self._pool is not None:
-            with self._egress_lock:
-                self.node.put(cached, src)
-        else:
-            self.node.put(cached, src)
-
-    def _handle_frame(self, frame):
-        request = frame.message
-        if self.reply_cache is not None and not self._dedup_admit(
-            frame, request
-        ):
-            return
-        if self.count_requests:
-            self.request_counts[request.command] += 1
-        reply = self._dispatch_request(frame, request)
-        if reply is not None:
-            self._send_reply(frame, reply)
-
     def _handle_frames(self, frames):
-        """Batch dispatch: one ingress-queue run per call.
+        """Serve one delivered run of request frames.
 
-        Runs the same :meth:`_dispatch_request` core as per-frame
-        delivery — the semantics cannot fork — but hoists the common
-        configuration's reply tail: when there is no sealer (so
-        :meth:`_send_reply` would never seal) the signed replies for the
-        whole run leave in one bulk unicast.  Request counting, when on,
-        is one Counter update per frame, as ever.
+        Each frame takes the per-request core: dedup admission, the
+        request count, :meth:`_dispatch_request`, then
+        :meth:`_finish_reply`.  The run's replies leave together through
+        :meth:`_egress`.
         """
-        pool = self._pool  # snapshot: a racing stop() may null it
-        if pool is not None and len(frames) > 1:
-            # Pool-safe only when every frame's full object set is
-            # knowable from its header capability: a request carrying
-            # extra_caps names *several* objects (a bank transfer's
-            # payee, a directory install's target) and would race the
-            # buckets of the objects it does not key on; a sealed
-            # request's objects are unknown until unsealed.  Either in
-            # the batch means the whole batch dispatches serially below.
-            sealed_matters = self.sealer is not None
-            pool_safe = True
-            for frame in frames:
-                message = frame.message
-                if message.extra_caps or (
-                    sealed_matters and message.sealed_caps
-                ):
-                    pool_safe = False
-                    break
-            if pool_safe:
-                self._handle_frames_parallel(frames, pool)
-                return
-        if self.sealer is not None:
-            for frame in frames:
-                self._handle_frame(frame)
-            return
-        dispatch = self._dispatch_request
-        count = self.count_requests
-        counts = self.request_counts
-        signature_port = self._signature_port
         cache = self.reply_cache
+        counts = self.request_counts
+        dispatch = self._dispatch_request
+        finish = self._finish_reply
         outbox = []
-        out_append = outbox.append
         for frame in frames:
             request = frame.message
-            if cache is not None:
-                reply_value = request.reply.value
-                if reply_value:
-                    verdict, cached = cache.begin(frame.src, reply_value)
-                    if verdict == "busy":
-                        continue
-                    if verdict == "hit":
-                        # Replayed replies ride the same bulk egress as
-                        # fresh ones; the evolve copy keeps the cached
-                        # original pristine under the in-place flush
-                        # transform.
-                        out_append((cached._evolve(), frame.src))
-                        continue
-            if count:
-                counts[request.command] += 1
-            reply = dispatch(frame, request)
-            if reply is None:
-                continue  # deferred
-            if reply.signature is not signature_port:
-                reply = reply._evolve(signature=signature_port)
             if cache is not None and request.reply.value:
-                # Store a pristine copy *before* the outbox flush
-                # transforms the outgoing one in place.
-                cache.store(frame.src, request.reply.value, reply._evolve())
-                if self.store is not None:
-                    self._log_commit(frame.src, request, reply)
-            out_append((reply, frame.src))
-        if outbox:
-            # One bulk unicast for the whole run's replies; a node
-            # without the bulk path (sockets) gets them one put at a
-            # time, which is what it would have seen anyway.  With a
-            # pool configured this serial tail still serializes against
-            # pool-thread deferred sends.
-            if self._pool is not None:
-                with self._egress_lock:
-                    self._flush_outbox(outbox)
-            else:
-                self._flush_outbox(outbox)
+                # Dedup admission.  A request with no reply port is a
+                # one-way send, not a transaction, and is never
+                # deduplicated.
+                verdict, cached = cache.begin(frame.src, request.reply.value)
+                if verdict == "busy":
+                    continue  # the first copy is still executing
+                if verdict == "hit":
+                    # Replay a copy: egress transforms it in place, and
+                    # the cached original must stay pristine for further
+                    # retries.  The handler does not run again.
+                    outbox.append((cached._evolve(), frame.src))
+                    continue
+            counts[request.command] += 1
+            reply = dispatch(frame, request)
+            if reply is not None:  # None: the handler deferred it
+                outbox.append((finish(frame, reply), frame.src))
+        self._egress(outbox)
 
-    def _flush_outbox(self, outbox):
-        bulk = getattr(self.node, "put_owned_unicast_bulk", None)
-        if bulk is not None:
-            bulk(outbox)
-        else:
-            put_owned = self.node.put_owned
-            for reply, src in outbox:
-                put_owned(reply, src)
-
-    def _handle_frames_parallel(self, frames, pool):
-        """Batch dispatch across the worker pool.
-
-        Object affinity: each frame is bucketed by its plaintext
-        capability's object number modulo ``workers``, so two requests
-        naming the same object are always in the same bucket and a
-        bucket runs sequentially on one thread — handlers remain
-        single-threaded per object with no handler-side locking, while
-        requests for distinct objects proceed on other workers (the
-        object table's stripes make the shared lookup path safe).
-        Frames with no plaintext capability share the serial bucket 0.
-        A batch containing any matrix-sealed request never reaches this
-        method at all — :meth:`_handle_frames` dispatches it serially,
-        because a sealed capability's object is unknown until unsealed
-        and could name the same object as a plaintext request in a
-        different bucket, breaking the affinity rule.
-
-        Threading discipline: workers only *compute* replies; request
-        counting happens here before the fan-out, and every reply
-        leaves through this (the dispatching) thread — the bulk unicast
-        lane when no sealer is configured, the seal-and-sign path
-        otherwise — so the station underneath is never driven from two
-        threads at once.
-        """
-        count = self.count_requests
-        counts = self.request_counts
-        workers = self.workers
-        cache = self.reply_cache
-        buckets = {}
-        for frame in frames:
-            request = frame.message
-            if cache is not None:
-                # Dedup on the dispatching thread, before the fan-out:
-                # a duplicate must never reach a bucket while (or after)
-                # its first copy executes on another worker.
-                reply_value = request.reply.value
-                if reply_value:
-                    verdict, cached = cache.begin(frame.src, reply_value)
-                    if verdict == "busy":
-                        continue
-                    if verdict == "hit":
-                        self._replay_reply(frame.src, cached)
-                        continue
-            if count:
-                counts[request.command] += 1
-            capability = request.capability
-            key = 0 if capability is None else capability.object % workers
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = bucket = []
-            bucket.append((frame, request))
-        dispatch = self._dispatch_request
-
-        def run(bucket):
-            out = []
-            for frame, request in bucket:
-                reply = dispatch(frame, request)
-                if reply is not None:  # None = deferred
-                    out.append((frame, reply))
-            return out
-
-        ordered = list(buckets.values())
-        pending = ordered[1:]
-        futures = []
-        try:
-            for bucket in pending:
-                futures.append(pool.submit(run, bucket))
-        except RuntimeError:
-            # The pool was shut down mid-batch (a racing stop()); the
-            # unsubmitted buckets run inline below — still one bucket at
-            # a time, so the per-object affinity rule holds.
-            pass
-        results = [run(ordered[0])]
-        for bucket in pending[len(futures):]:
-            results.append(run(bucket))
-        results.extend(future.result() for future in futures)
-        if self.sealer is not None:
-            for pairs in results:
-                for frame, reply in pairs:
-                    self._send_reply(frame, reply)
-            return
-        signature_port = self._signature_port
-        outbox = []
-        for pairs in results:
-            for frame, reply in pairs:
-                if reply.signature is not signature_port:
-                    reply = reply._evolve(signature=signature_port)
-                if cache is not None and frame.message.reply.value:
-                    cache.store(
-                        frame.src, frame.message.reply.value, reply._evolve()
-                    )
-                    if self.store is not None:
-                        self._log_commit(frame.src, frame.message, reply)
-                outbox.append((reply, frame.src))
-        if outbox:
-            with self._egress_lock:
-                self._flush_outbox(outbox)
-
-    def _send_reply(self, frame, reply):
-        """Seal, sign, and send one reply (shared by the dispatch loop and
-        :class:`DeferredReply`)."""
+    def _finish_reply(self, frame, reply):
+        """Seal, sign, cache and commit one reply; returns it ready for
+        :meth:`_egress`.  Shared by the dispatch loop and
+        :class:`DeferredReply`."""
         if self.sealer is not None and (reply.capability or reply.extra_caps):
             reply = self.sealer.seal_message(reply, frame.src)
         # Replies are signed: the F-box will transform this secret S into
-        # the published image F(S) on the wire.  The reply is unicast to
-        # the requesting machine (its address came stamped on the frame).
-        # ctx.ok/ctx.error pre-stamp the signature; only hand-built
-        # handler replies still need the extra copy here.
+        # the published image F(S) on the wire.  ctx.ok/ctx.error
+        # pre-stamp the signature; a hand-built handler reply gets a
+        # stamped private copy, which is then ours to transform in place.
         if reply.signature is not self._signature_port:
-            # A hand-built handler reply: stamp a private copy, which is
-            # then ours to transform in place.
             reply = reply._evolve(signature=self._signature_port)
         if self.reply_cache is not None:
             reply_value = frame.message.reply.value
             if reply_value:
-                # Cache the fully formed (sealed, signed) reply before
-                # put_owned transforms the outgoing copy in place —
+                # Cache a copy of the fully formed (sealed, signed) reply
+                # before egress transforms the outgoing one in place;
                 # deferred replies complete their transaction here too.
                 self.reply_cache.store(
                     frame.src, reply_value, reply._evolve()
@@ -872,13 +634,20 @@ class ObjectServer:
                     # record, or it would re-execute a non-idempotent
                     # operation whose first reply was already delivered.
                     self._log_commit(frame.src, frame.message, reply)
-        if self._pool is not None:
-            # A DeferredReply.send() may run on a pool thread while the
-            # dispatching thread is mid-egress; serialize the station.
-            with self._egress_lock:
-                self.node.put_owned(reply, frame.src)
-        else:
-            self.node.put_owned(reply, frame.src)
+        return reply
+
+    def _egress(self, outbox):
+        """Send ``[(reply, machine), ...]`` unicast to each requester.
+
+        A lone reply takes ``put_owned``; longer runs share one
+        ``put_owned_unicast_bulk`` call, whose per-call setup only pays
+        off past one frame.
+        """
+        if len(outbox) == 1:
+            reply, dst = outbox[0]
+            self.node.put_owned(reply, dst)
+        elif outbox:
+            self.node.put_owned_unicast_bulk(outbox)
 
     def _authenticate_sender(self, request):
         if self.authorized_signatures is None:

@@ -113,11 +113,6 @@ class SocketNode:
     #: ``node.clock`` and treat None as "timeouts are wall time".
     clock = None
 
-    #: Capability attribute for ObjectServer.start(): recv-side batching
-    #: makes batch dispatch (serve_batch + bulk reply egress) profitable
-    #: on this transport.
-    supports_batch_serve = True
-
     #: Seconds the pump blocks per receive before checking for shutdown
     #: and buffered egress; also restored after each non-blocking drain.
     _POLL_INTERVAL = 0.1

@@ -12,7 +12,7 @@ hit/miss counters the MATRIX experiment reports.
 
 Sharding
 --------
-A busy server's request path hits its caches from many worker threads
+A busy server's request path hits its caches from many threads
 while revocation sweeps fire from whichever thread refreshed, destroyed,
 or aged the object.  :class:`ShardedLruCache` partitions the entries
 across power-of-two lock-striped :class:`LruCache` stripes so the hot
@@ -37,7 +37,7 @@ class LruCache:
     """A bounded least-recently-used map with hit/miss accounting.
 
     Thread-safe: a server's request path reads and writes its cache from
-    worker threads while revocation (``ObjectTable.on_revocation`` →
+    its serving threads while revocation (``ObjectTable.on_revocation`` →
     :meth:`evict_where`) fires from whichever thread refreshed, destroyed,
     or swept the object — OrderedDict relinking is not atomic, so every
     operation takes the internal lock.  The critical sections are a few

@@ -13,6 +13,16 @@ from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 
 
+def pytest_configure(config):
+    # Registered here rather than in a root ini file, which would change
+    # what a bare ``pytest`` run from the repository root collects.
+    config.addinivalue_line(
+        "markers",
+        "integration: drives the full stack or real sockets "
+        "(deselect with -m 'not integration')",
+    )
+
+
 @pytest.fixture
 def rng():
     return RandomSource(seed=0xA40EBA)

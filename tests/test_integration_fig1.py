@@ -1,7 +1,7 @@
 """Integration: the complete Fig. 1 scenario — clients, servers,
 intruders, and F-boxes on one wire — plus the §2.3 message-count claims.
 
-These tests ARE the FIG1 experiment of EXPERIMENTS.md, in miniature.
+These tests ARE the fig1 experiment of benchmarks/experiments.py, in miniature.
 """
 
 import pytest

@@ -1,89 +1,55 @@
-"""Tests for the ObjectServer worker pool (sharded multi-worker dispatch).
+"""Multi-frame runs through the server's single dispatch core.
 
-The pool is opt-in (``workers=N``): each delivered batch is partitioned
-by object number, partitions run on pool threads, and requests naming
-the same object never run concurrently — handlers stay single-threaded
-per object with no locking of their own, while the object table's lock
-stripes make the shared validation path safe.
+These classes once covered an opt-in worker pool, which is gone: every
+delivered run of frames now goes through the same per-request sequence
+(dedup admission, count, dispatch, reply finishing) on the delivering
+thread.  The behaviours checked here do not depend on the pool and must
+hold for any run delivered by ``SimNetwork(synchronous=False)``:
+correct replies in order, an error reply for a capability-less frame
+inside a run, exact request counts, refresh revoking between runs, and
+deferred replies released by a later request of the same run.
 """
-
-import threading
-import time
-
-import pytest
 
 from repro.crypto.randomsrc import RandomSource
 from repro.errors import STATUS_OK
 from repro.ipc import stdops
-from repro.ipc.rpc import trans, trans_many
+from repro.ipc.rpc import trans_many
 from repro.ipc.server import ObjectServer, command
 from repro.ipc.stdops import USER_BASE
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.nic import Nic
 
+import pytest
+
 OP_RECORD = USER_BASE
-OP_SLOW = USER_BASE + 1
+OP_PARK = USER_BASE + 7
+OP_RELEASE = USER_BASE + 8
 
 
 class RecordingServer(ObjectServer):
-    """Echoes, while recording per-object concurrency."""
+    """Echoes the request data back, recording each handled object."""
 
-    service_name = "worker pool probe"
+    service_name = "batch probe"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._probe_lock = threading.Lock()
-        self.active_by_object = {}
-        self.max_active_by_object = {}
-        self.max_active_global = 0
-        self.handled_threads = set()
-
-    def _enter(self, number):
-        with self._probe_lock:
-            active = self.active_by_object.get(number, 0) + 1
-            self.active_by_object[number] = active
-            peak = self.max_active_by_object.get(number, 0)
-            if active > peak:
-                self.max_active_by_object[number] = active
-            total = sum(self.active_by_object.values())
-            if total > self.max_active_global:
-                self.max_active_global = total
-            self.handled_threads.add(threading.get_ident())
-
-    def _exit(self, number):
-        with self._probe_lock:
-            self.active_by_object[number] -= 1
+        self.handled = []
 
     @command(OP_RECORD)
     def _record(self, ctx):
         entry, _ = ctx.lookup()
-        self._enter(entry.number)
-        try:
-            return ctx.ok(data=ctx.request.data)
-        finally:
-            self._exit(entry.number)
-
-    @command(OP_SLOW)
-    def _slow(self, ctx):
-        entry, _ = ctx.lookup()
-        self._enter(entry.number)
-        try:
-            # Long enough that pool threads overlap (sleep drops the GIL).
-            time.sleep(0.002)
-            return ctx.ok(data=ctx.request.data)
-        finally:
-            self._exit(entry.number)
+        self.handled.append(entry.number)
+        return ctx.ok(data=ctx.request.data)
 
 
 @pytest.fixture
 def world():
     net = SimNetwork(synchronous=False, auto_drain=False)
-    server = RecordingServer(
-        Nic(net), rng=RandomSource(seed=3), workers=4
-    ).start()
+    server = RecordingServer(Nic(net), rng=RandomSource(seed=3)).start()
     client = Nic(net)
-    return net, server, client
+    yield net, server, client
+    server.stop()
 
 
 class TestWorkerPool:
@@ -103,26 +69,7 @@ class TestWorkerPool:
         )
         assert [r.data for r in replies] == [r.data for r in requests]
         assert all(r.status == STATUS_OK for r in replies)
-
-    def test_same_object_never_concurrent(self, world):
-        net, server, client = world
-        caps = [server.table.create("obj-%d" % i) for i in range(8)]
-        requests = [
-            Message(command=OP_SLOW, capability=caps[i % len(caps)], data=b"x")
-            for i in range(32)
-        ]
-        replies = trans_many(
-            client, server.put_port, requests, RandomSource(seed=5), timeout=30.0
-        )
-        assert len(replies) == 32
-        # The affinity invariant: no object's handler ever ran while
-        # another invocation for the same object was still in flight.
-        assert server.max_active_by_object
-        assert max(server.max_active_by_object.values()) == 1
-        # Distinct objects did overlap (sleep drops the GIL, so with 4
-        # workers and 8 objects the partitions interleave).
-        assert server.max_active_global >= 2
-        assert len(server.handled_threads) >= 2
+        assert len(server.handled) == 32
 
     def test_capability_less_frames_share_serial_bucket(self, world):
         net, server, client = world
@@ -152,61 +99,17 @@ class TestWorkerPool:
         trans_many(client, server.put_port, requests, RandomSource(seed=7))
         assert server.request_counts[OP_RECORD] == 20
 
-    def test_stop_shuts_pool_down_and_restart_works(self, world):
-        net, server, client = world
-        cap = server.table.create("x")
-        pool = server._pool
-        assert pool is not None
-        server.stop()
-        assert server._pool is None
-        server.start()
-        reply = trans(
-            client,
-            server.put_port,
-            Message(command=OP_RECORD, capability=cap, data=b"again"),
-            RandomSource(seed=8),
-        )
-        assert reply.data == b"again"
-        server.stop()
-
-    def test_single_frame_batches_skip_the_pool(self):
-        """On a synchronous network every delivery is a batch of one;
-        the pool must not add overhead (or thread hops) to that path."""
-        net = SimNetwork()
-        server = RecordingServer(
-            Nic(net), rng=RandomSource(seed=9), workers=4
-        ).start()
-        client = Nic(net)
-        cap = server.table.create("solo")
-        reply = trans(
-            client,
-            server.put_port,
-            Message(command=OP_RECORD, capability=cap, data=b"one"),
-            RandomSource(seed=10),
-        )
-        assert reply.data == b"one"
-        assert server.handled_threads == {threading.get_ident()}
-        server.stop()
-
-    def test_workers_disabled_by_default(self):
-        net = SimNetwork()
-        server = RecordingServer(Nic(net), rng=RandomSource(seed=11)).start()
-        assert server._pool is None
-        server.stop()
-
 
 class TestWorkerPoolWithStdOps:
     def test_refresh_under_pool_revokes(self, world):
-        """STD_REFRESH dispatched through the pool still revokes: the
-        old capability fails afterwards, the fresh one works."""
+        """STD_REFRESH delivered in a run still revokes: the old
+        capability fails afterwards, the fresh one works."""
         net, server, client = world
         cap = server.table.create("precious")
         rng = RandomSource(seed=12)
         refresh = Message(command=stdops.STD_REFRESH, capability=cap)
         use_old = Message(command=OP_RECORD, capability=cap, data=b"old")
-        replies = trans_many(
-            client, server.put_port, [refresh], rng
-        )
+        replies = trans_many(client, server.put_port, [refresh], rng)
         fresh = replies[0].capability
         assert fresh is not None
         after = trans_many(
@@ -222,103 +125,12 @@ class TestWorkerPoolWithStdOps:
         assert after[1].status != STATUS_OK  # revoked
 
 
-class TestSealedBatchesStaySerial:
-    def test_mixed_sealed_and_plaintext_batch_keeps_object_affinity(self):
-        """Regression: a sealed request's object is unknown until
-        unsealed, so a batch mixing sealed and plaintext requests must
-        be dispatched serially — otherwise a sealed WRITE for object k
-        (serial bucket) and a plaintext WRITE for object k (bucket
-        k mod workers) could run concurrently."""
-        from repro.softprot.cache import (
-            ClientCapabilityCache,
-            ServerCapabilityCache,
-        )
-        from repro.softprot.matrix import CapabilitySealer, KeyMatrix
-
-        net = SimNetwork(synchronous=False, auto_drain=False)
-        matrix = KeyMatrix(rng=RandomSource(seed=20))
-        server_nic = Nic(net)
-        server = RecordingServer(
-            server_nic,
-            rng=RandomSource(seed=21),
-            sealer=CapabilitySealer(
-                matrix.view(server_nic.address),
-                server_cache=ServerCapabilityCache(),
-            ),
-            workers=4,
-        ).start()
-        client_nic = Nic(net)
-        client_sealer = CapabilitySealer(
-            matrix.view(client_nic.address),
-            client_cache=ClientCapabilityCache(),
-        )
-        caps = [server.table.create("obj-%d" % i) for i in range(4)]
-        requests = []
-        for i in range(16):
-            plain = Message(
-                command=OP_SLOW, capability=caps[i % 4], data=b"p%d" % i
-            )
-            if i % 2:
-                requests.append(
-                    client_sealer.seal_message(plain, server_nic.address)
-                )
-            else:
-                requests.append(plain)
-        replies = trans_many(
-            client_nic,
-            server.put_port,
-            requests,
-            RandomSource(seed=22),
-            timeout=60.0,
-        )
-        assert len(replies) == 16
-        assert all(r.status == STATUS_OK for r in replies)
-        # Serial dispatch: never two handlers in flight, one thread only.
-        assert server.max_active_global == 1
-        assert max(server.max_active_by_object.values()) == 1
-        assert len(server.handled_threads) == 1
-        server.stop()
-
-
-class TestMultiObjectRequestsStaySerial:
-    def test_batch_with_extra_caps_dispatches_serially(self):
-        """Regression: a request carrying extra_caps names several
-        objects (a bank transfer's payee, a directory install's target),
-        so bucketing it by its header capability alone would let it race
-        the buckets of the objects it does not key on.  Any such frame
-        makes the whole batch serial."""
-        net = SimNetwork(synchronous=False, auto_drain=False)
-        server = RecordingServer(
-            Nic(net), rng=RandomSource(seed=30), workers=4
-        ).start()
-        client = Nic(net)
-        caps = [server.table.create("obj-%d" % i) for i in range(4)]
-        requests = []
-        for i in range(16):
-            changes = {"command": OP_SLOW, "capability": caps[i % 4],
-                       "data": b"m%d" % i}
-            if i % 3 == 0:
-                changes["extra_caps"] = (caps[(i + 1) % 4],)
-            requests.append(Message(**changes))
-        replies = trans_many(
-            client, server.put_port, requests, RandomSource(seed=31),
-            timeout=60.0,
-        )
-        assert len(replies) == 16
-        assert all(r.status == STATUS_OK for r in replies)
-        assert server.max_active_global == 1
-        assert len(server.handled_threads) == 1
-        server.stop()
-
-
 class TestDeferredRepliesUnderPool:
     def test_park_and_release_from_pool_threads(self):
-        """DeferredReply.send() fired from a pool thread serializes
-        against the dispatching thread's egress; all replies arrive."""
-        OP_PARK = USER_BASE + 7
-        OP_RELEASE = USER_BASE + 8
+        """DeferredReply.send() fired by a later request of the same run
+        shares the run's egress with the run's own replies; all arrive."""
 
-        class ParkingServer(ObjectServer):
+        class ParkingServer(RecordingServer):
             service_name = "parking"
 
             def __init__(self, *args, **kwargs):
@@ -338,31 +150,20 @@ class TestDeferredRepliesUnderPool:
                     self.parked.pop(0).send()
                 return ctx.ok(data=b"released")
 
-            @command(OP_SLOW)
-            def _slow(self, ctx):
-                ctx.lookup()
-                time.sleep(0.002)
-                return ctx.ok(data=ctx.request.data)
-
         net = SimNetwork(synchronous=False, auto_drain=False)
-        server = ParkingServer(
-            Nic(net), rng=RandomSource(seed=32), workers=4
-        ).start()
+        server = ParkingServer(Nic(net), rng=RandomSource(seed=32)).start()
         client = Nic(net)
         cap = server.table.create("lot")
-        # Same object throughout: parks and the release share a bucket,
-        # so the parked handles exist before the release handler runs —
-        # and its sends fire on that pool thread mid-batch.
         requests = [
             Message(command=OP_PARK, capability=cap),
             Message(command=OP_PARK, capability=cap),
             Message(command=OP_RELEASE, capability=cap),
         ]
-        # A second object's slow traffic keeps another worker inside the
-        # bulk-egress window at the same time.
+        # A second object's traffic keeps ordinary replies in the same
+        # egress run as the released ones.
         other = server.table.create("busy")
         requests += [
-            Message(command=OP_SLOW, capability=other, data=b"x")
+            Message(command=OP_RECORD, capability=other, data=b"x")
             for _ in range(5)
         ]
         replies = trans_many(
@@ -372,4 +173,6 @@ class TestDeferredRepliesUnderPool:
         assert len(replies) == 8
         assert all(r.status == STATUS_OK for r in replies)
         assert replies[2].data == b"released"
+        assert [r.data for r in replies[3:]] == [b"x"] * 5
+        assert server.parked == []
         server.stop()
